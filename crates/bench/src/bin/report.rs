@@ -481,11 +481,11 @@ fn f3() {
     use fd_core::fd::{ChainFdNode, ChainFdParams};
     use fd_core::keys::{KeyStore, Keyring};
     use fd_core::localauth::{KeyDistNode, KEYDIST_ROUNDS};
-    use fd_simnet::transport::{TcpCluster, ThreadCluster};
+    use fd_simnet::transport::NbCluster;
     use fd_simnet::SyncNetwork;
 
-    println!("## F3 — wall-clock per FD cycle across transports (single shot)\n");
-    println!("| n | simulator | threads | tcp |");
+    println!("## F3 — wall-clock per FD cycle, simulator vs socket mesh (single shot)\n");
+    println!("| n | messages | simulator | mesh |");
     println!("|---|---|---|---|");
     let scheme: Arc<dyn SignatureScheme> = Arc::new(SchnorrScheme::test_tiny());
     for n in [4usize, 8, 12] {
@@ -529,25 +529,22 @@ fn f3() {
                 .collect()
         };
         let rounds = ChainFdParams::new(n, t).rounds();
-        let sim = {
+        let (sim, sim_messages) = {
             let start = Instant::now();
             let mut net = SyncNetwork::new(mk_fd());
             net.run_until_done(rounds);
-            start.elapsed()
+            (start.elapsed(), net.stats().messages_total)
         };
-        let thr = {
+        let (mesh, mesh_messages) = {
             let start = Instant::now();
-            let _ = ThreadCluster::new(rounds).run(mk_fd());
-            start.elapsed()
+            let report = NbCluster::new(rounds).run(mk_fd());
+            report.ok().expect("F3 mesh run");
+            (start.elapsed(), report.stats.messages_total)
         };
-        let tcp = {
-            let start = Instant::now();
-            let _ = TcpCluster::new(rounds).run(mk_fd());
-            start.elapsed()
-        };
-        println!("| {n} | {sim:.2?} | {thr:.2?} | {tcp:.2?} |");
+        assert_eq!(sim_messages, mesh_messages, "F3: mesh diverged at n = {n}");
+        println!("| {n} | {sim_messages} | {sim:.2?} | {mesh:.2?} |");
     }
-    println!("\n(Criterion benches `transport.rs` give rigorous statistics; counts are identical on all three transports.)\n");
+    println!("\n(Criterion benches `transport.rs` give rigorous statistics; message counts are asserted identical on both executors.)\n");
 }
 
 fn t5() {

@@ -34,7 +34,8 @@
 //! * **F4** ([`f4_rotation`]) — key-rotation epochs vs the §6 crossover.
 //!
 //! T4 (the F1–F3/G1–G3 property matrix), F2 (signature-scheme timings),
-//! and F3 (transport wall-clock) live directly in the `report` binary.
+//! and F3 (simulator vs socket-mesh wall-clock) live directly in the
+//! `report` binary.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -54,8 +54,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 /// Upper bound on a single registry frame (a roster or summary set for
-/// any plausible `n` is far below this).
-const MAX_FRAME: usize = 16 * 1024 * 1024;
+/// any plausible `n` is far below this), and on a `lafd serve` request
+/// line.
+pub const MAX_FRAME: usize = 16 * 1024 * 1024;
 
 // ---------------------------------------------------------------------
 // Framing

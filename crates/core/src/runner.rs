@@ -355,9 +355,13 @@ impl Cluster {
     /// # Panics
     ///
     /// Panics unless `t + 2 <= n` (the common requirement of the FD
-    /// protocols here).
+    /// protocols here) and `n <= u16::MAX` (node ids are `u16`).
     pub fn new(n: usize, t: usize, scheme: Arc<dyn SignatureScheme>, seed: u64) -> Self {
         assert!(t + 2 <= n, "require t + 2 <= n");
+        assert!(
+            n <= usize::from(u16::MAX),
+            "n {n} exceeds the node-id space"
+        );
         Cluster {
             n,
             t,
@@ -685,6 +689,12 @@ mod tests {
 
     fn cluster(n: usize, t: usize) -> Cluster {
         Cluster::new(n, t, Arc::new(fd_crypto::SchnorrScheme::test_tiny()), 99)
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the node-id space")]
+    fn n_past_the_node_id_space_rejected() {
+        let _ = cluster(usize::from(u16::MAX) + 1, 1);
     }
 
     fn spec(protocol: Protocol, value: &[u8]) -> RunSpec {

@@ -3,8 +3,8 @@
 //! The distributed-system substrate for the
 //! [Borcherding 1995](https://doi.org/10.1109/ICDCS.1995.500023)
 //! reproduction: a deterministic round-synchronous network simulator plus
-//! two *real* transports (threads and TCP) that drive the same protocol
-//! automata.
+//! a *real* socket transport (a nonblocking TCP mesh) that drives the same
+//! protocol automata.
 //!
 //! ## The model (paper §2)
 //!
@@ -22,9 +22,9 @@
 //! [`EventNetwork`] discrete-event simulator (virtual time, pluggable
 //! [`event::LatencyModel`]s, per-link overrides via [`LinkLatencySpec`],
 //! timing faults, and the per-message delay-override hook behind the
-//! adversarial scheduler search's replayable certificates), the
-//! [`transport::thread`] lock-step thread runner, and the
-//! [`transport::tcp`] localhost TCP cluster.
+//! adversarial scheduler search's replayable certificates), and the
+//! [`transport::nonblocking`] TCP mesh ([`transport::NbCluster`] in one
+//! process, one worker process per node under `lafd cluster`).
 //!
 //! ## Example
 //!

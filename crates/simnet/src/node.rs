@@ -96,8 +96,8 @@ impl Outbox {
 
 /// A protocol automaton driven in synchronous rounds.
 ///
-/// The same automaton runs on [`crate::SyncNetwork`], the thread transport,
-/// and the TCP transport. In each round the transport delivers everything
+/// The same automaton runs on [`crate::SyncNetwork`], [`crate::EventNetwork`]
+/// and the socket mesh. In each round the transport delivers everything
 /// sent to this node in the previous round (`inbox`), and the node may queue
 /// outgoing messages (`out`). Determinism requirement: `on_round` must be a
 /// pure function of construction parameters, rounds seen so far, and inbox

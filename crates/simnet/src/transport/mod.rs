@@ -1,36 +1,37 @@
-//! Real transports driving the same [`crate::Node`] automata.
+//! The real socket transport driving the same [`crate::Node`] automata.
 //!
-//! The simulator ([`crate::SyncNetwork`]) is the reference executor used by
-//! every experiment table; these transports demonstrate that the protocol
-//! automata are genuinely transport-agnostic and provide the wall-clock
-//! scaling data for experiment F3:
+//! The simulators ([`crate::SyncNetwork`], [`crate::EventNetwork`]) are the
+//! reference executors used by every experiment table; the socket mesh
+//! shows that the protocol automata are genuinely transport-agnostic and
+//! provides the wall-clock data for experiment F3:
 //!
-//! * [`thread`] — one OS thread per node, lock-step rounds coordinated by a
-//!   router over crossbeam channels.
-//! * [`tcp`] — a full-mesh localhost TCP cluster with framed messages and
-//!   per-round completion markers (one reader thread per connection).
-//! * [`nonblocking`] — the deployment-grade mesh: a single-threaded
-//!   readiness loop per node over nonblocking `TcpStream`s with per-peer
-//!   framed buffers, simulator-matching early termination, and an optional
-//!   [`crate::LatencyModel`] wall-clock delay shim. This is the transport
-//!   the multi-process `lafd cluster` workers run on.
+//! * [`nonblocking`] — a full localhost/LAN TCP mesh driven by a
+//!   single-threaded readiness loop per node over nonblocking
+//!   `TcpStream`s, with per-peer framed buffers, simulator-matching early
+//!   termination, and an optional [`crate::LatencyModel`] wall-clock delay
+//!   shim. [`NbCluster`] runs every node of a mesh in one process (one
+//!   thread per node); the multi-process `lafd cluster` workers drive
+//!   [`MeshPeers`]/[`NonblockingMesh`] directly.
+//! * [`chaos`] — seeded fault injection and retry with backoff around the
+//!   mesh's connect, handshake, and round sites.
 //!
-//! All of them enforce N2 the same way the simulator does: the receiver
-//! labels each message with the identity bound to the *channel/connection*
-//! it arrived on, never with anything the payload claims.
+//! The mesh enforces N2 the same way the simulator does: the receiver
+//! labels each message with the identity bound to the *connection* it
+//! arrived on, never with anything the payload claims.
 
 pub mod chaos;
 pub mod nonblocking;
-pub mod tcp;
-pub mod thread;
 
 pub use chaos::{ChaosInjector, ChaosPhase, ChaosSpec, RetryCtx, RetryPolicy};
 pub use nonblocking::{DelayShim, MeshPeers, MeshRun, NbCluster, NonblockingMesh};
-pub use tcp::TcpCluster;
-pub use thread::ThreadCluster;
 
 use crate::{NetStats, Node, NodeId};
 use std::time::Duration;
+
+/// Default mesh-setup and no-progress deadline: generous enough for slow
+/// CI machines, short enough that a lost peer turns into a loud
+/// [`TransportError`] instead of a silent hang.
+pub const DEFAULT_IO_DEADLINE: Duration = Duration::from_secs(60);
 
 /// A typed transport failure: what went wrong, where, and while doing
 /// what. Lost peers and expired deadlines surface as values carried into

@@ -1,7 +1,6 @@
-//! Non-blocking readiness-loop mesh — the deployment transport.
+//! Non-blocking readiness-loop mesh — the socket transport.
 //!
-//! Where [`super::tcp`] spends one reader thread per connection, this
-//! transport drives *all* of a node's connections from a **single-threaded
+//! Every node drives *all* of its connections from a **single-threaded
 //! readiness loop** over nonblocking `TcpStream`s (poll/mio style, no
 //! tokio): each sweep attempts partial reads and writes on every peer,
 //! parses complete frames out of per-peer read buffers, and flushes
@@ -18,9 +17,8 @@
 //! [`crate::SyncNetwork::run_until_done`]. Combined with the simulator's
 //! delivery order (sender id, then send order — per-sender TCP FIFO plus a
 //! stable sort), a mesh run reproduces the sync engine's `NetStats` and
-//! outcomes byte for byte. Unlike [`super::tcp`], messages a node
-//! addresses to *itself* are delivered locally (the simulator delivers
-//! them too).
+//! outcomes byte for byte. Messages a node addresses to *itself* are
+//! delivered locally, as the simulator delivers them.
 //!
 //! **Delay shim.** An optional [`DelayShim`] reuses the event engine's
 //! [`LatencyModel`]: outgoing frames are held in the write queue until
@@ -321,7 +319,7 @@ impl NonblockingMesh {
         assert!(rounds_limit > 0, "at least one round required");
         NonblockingMesh {
             rounds_limit,
-            io_deadline: super::tcp::DEFAULT_IO_DEADLINE,
+            io_deadline: super::DEFAULT_IO_DEADLINE,
             shim: None,
             chaos: None,
         }
@@ -708,11 +706,11 @@ fn parse_frames(
     Ok(frames)
 }
 
-/// In-process harness: every node on its own thread, each running the
-/// single-threaded readiness loop over real localhost sockets. The
-/// cross-validation tests compare its [`ClusterReport`] against
-/// [`crate::SyncNetwork`]; the multi-process `lafd cluster` workers use
-/// [`MeshPeers`]/[`NonblockingMesh`] directly.
+/// In-process mesh: every node on its own thread, each running the
+/// single-threaded readiness loop over real localhost sockets. It backs
+/// `lafd tcp`, experiment F3 and the tests that compare its
+/// [`ClusterReport`] against [`crate::SyncNetwork`]; the multi-process
+/// `lafd cluster` workers use [`MeshPeers`]/[`NonblockingMesh`] directly.
 #[derive(Debug, Clone)]
 pub struct NbCluster {
     rounds_limit: u32,
@@ -730,7 +728,7 @@ impl NbCluster {
         assert!(rounds_limit > 0, "at least one round required");
         NbCluster {
             rounds_limit,
-            io_deadline: super::tcp::DEFAULT_IO_DEADLINE,
+            io_deadline: super::DEFAULT_IO_DEADLINE,
             shim: None,
         }
     }
@@ -1015,6 +1013,88 @@ mod tests {
             e,
             TransportError::PeerLost { .. } | TransportError::Deadline { .. }
         )));
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one round")]
+    fn zero_rounds_rejected() {
+        let _ = NbCluster::new(0);
+    }
+
+    #[test]
+    fn nodes_returned_in_id_order() {
+        let report = NbCluster::new(5).run(Chatter::set(4, 1));
+        assert!(report.ok().is_ok(), "{:?}", report.errors);
+        let ids: Vec<NodeId> = report.nodes.iter().map(|node| node.id()).collect();
+        assert_eq!(ids, NodeId::all(4).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn respects_max_rounds() {
+        // Never done before round 10, and node 0 messages itself every
+        // round, so only the limit stops the run.
+        let report = NbCluster::new(4).run(Chatter::set(2, 10));
+        assert!(report.ok().is_ok(), "{:?}", report.errors);
+        assert_eq!(report.rounds, 4);
+        assert_eq!(report.stats.messages_total, 3 * 4);
+    }
+
+    /// Broadcasts a payload claiming to come from the next node.
+    struct Impostor {
+        id: NodeId,
+        n: usize,
+        got: Vec<(NodeId, u8)>,
+    }
+
+    impl Node for Impostor {
+        fn id(&self) -> NodeId {
+            self.id
+        }
+        fn on_round(&mut self, round: u32, inbox: &[Envelope], out: &mut Outbox) {
+            if round == 0 {
+                let claimed = (self.id.index() + 1) % self.n;
+                out.broadcast(self.n, self.id, [claimed as u8]);
+            }
+            self.got
+                .extend(inbox.iter().map(|env| (env.from, env.payload[0])));
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+        fn into_any(self: Box<Self>) -> Box<dyn Any> {
+            self
+        }
+    }
+
+    /// N2: the receiver stamps each message with the identity bound to
+    /// the connection it arrived on, never the sender the payload claims.
+    #[test]
+    fn sender_is_the_connection_not_the_payload_claim() {
+        let n = 5;
+        let nodes: Vec<Box<dyn Node>> = NodeId::all(n)
+            .map(|id| {
+                Box::new(Impostor {
+                    id,
+                    n,
+                    got: Vec::new(),
+                }) as Box<dyn Node>
+            })
+            .collect();
+        let report = NbCluster::new(2).run(nodes);
+        assert!(report.ok().is_ok(), "{:?}", report.errors);
+        for node in &report.nodes {
+            let node = node.as_any().downcast_ref::<Impostor>().unwrap();
+            let stamps: Vec<NodeId> = node.got.iter().map(|(from, _)| *from).collect();
+            let peers: Vec<NodeId> = NodeId::all(n).filter(|&id| id != node.id).collect();
+            assert_eq!(stamps, peers, "one message from every peer");
+            // Each payload claims the next node; the stamp is the sender.
+            let claims_next =
+                |&(from, claim): &(NodeId, u8)| usize::from(claim) == (from.index() + 1) % n;
+            assert!(node.got.iter().all(claims_next), "N2 violated");
+        }
     }
 
     #[test]

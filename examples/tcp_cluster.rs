@@ -1,6 +1,6 @@
 //! The same protocol automata on a real network: a full-mesh localhost TCP
-//! cluster runs key distribution and a failure-discovery round, with
-//! wall-clock timings.
+//! cluster (the nonblocking readiness-loop mesh, one thread per node) runs
+//! key distribution and a failure-discovery round, with wall-clock timings.
 //!
 //! ```sh
 //! cargo run --release --example tcp_cluster
@@ -11,7 +11,7 @@ use local_auth_fd::core::keys::{KeyStore, Keyring};
 use local_auth_fd::core::localauth::{KeyDistNode, KEYDIST_ROUNDS};
 use local_auth_fd::core::Outcome;
 use local_auth_fd::crypto::{SchnorrScheme, SignatureScheme};
-use local_auth_fd::simnet::transport::TcpCluster;
+use local_auth_fd::simnet::transport::NbCluster;
 use local_auth_fd::simnet::{Node, NodeId};
 use std::sync::Arc;
 use std::time::Instant;
@@ -33,8 +33,9 @@ fn main() {
         })
         .collect();
     let start = Instant::now();
-    let report = TcpCluster::new(KEYDIST_ROUNDS).run(keydist_nodes);
+    let report = NbCluster::new(KEYDIST_ROUNDS).run(keydist_nodes);
     let kd_elapsed = start.elapsed();
+    report.ok().expect("key distribution mesh");
     println!(
         "key distribution over TCP: {} messages, {} bytes, {:?}",
         report.stats.messages_total, report.stats.bytes_total, kd_elapsed
@@ -70,8 +71,9 @@ fn main() {
         })
         .collect();
     let start = Instant::now();
-    let fd_report = TcpCluster::new(ChainFdParams::new(n, t).rounds()).run(fd_nodes);
+    let fd_report = NbCluster::new(ChainFdParams::new(n, t).rounds()).run(fd_nodes);
     let fd_elapsed = start.elapsed();
+    fd_report.ok().expect("chain FD mesh");
     println!(
         "chain FD over TCP:         {} messages, {} bytes, {:?}",
         fd_report.stats.messages_total, fd_report.stats.bytes_total, fd_elapsed

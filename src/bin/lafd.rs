@@ -214,19 +214,16 @@ fn main() -> ExitCode {
     };
     // `--crash I` is sugar for a silent adversary at node I on the
     // commands that script one.
-    if matches!(cmd.as_str(), "ba" | "king") {
-        if let Some(crash) = extras.crash {
-            if crash >= builder.n {
-                eprintln!(
-                    "error: --crash {crash} is out of range for n = {}",
-                    builder.n
-                );
+    if let Some(crash) = extras
+        .crash
+        .filter(|_| matches!(cmd.as_str(), "ba" | "king"))
+    {
+        match crash_adversary(crash, builder.n, false) {
+            Ok(adversary) => builder = builder.with_adversary(adversary),
+            Err(e) => {
+                eprintln!("error: {e}");
                 return ExitCode::FAILURE;
             }
-            builder = builder.with_adversary(AdversarySpec::scripted_at(
-                AdversaryKind::SilentRelay,
-                vec![NodeId(crash as u16)],
-            ));
         }
     }
     if let Err(e) = builder.validate() {
@@ -355,6 +352,21 @@ impl TraceOuts {
 enum RunInvocation {
     Flags(Box<SpecBuilder>, TraceOuts),
     SpecFile(String),
+}
+
+/// `--crash I` is sugar for a silent adversary at node I. It cannot be
+/// combined with an explicit `--adversary`.
+fn crash_adversary(crash: usize, n: usize, adversary_given: bool) -> Result<AdversarySpec, String> {
+    if adversary_given {
+        return Err("--crash and --adversary cannot be combined".to_string());
+    }
+    if crash >= n {
+        return Err(format!("--crash {crash} is out of range for n = {n}"));
+    }
+    Ok(AdversarySpec::scripted_at(
+        AdversaryKind::SilentRelay,
+        vec![NodeId(crash as u16)],
+    ))
 }
 
 fn parse_run(args: &[String]) -> Result<RunInvocation, String> {
@@ -486,19 +498,8 @@ fn parse_run(args: &[String]) -> Result<RunInvocation, String> {
             builder.n
         ));
     }
-    // `--crash I` is sugar for a silent adversary at node I.
     if let Some(crash) = crash {
-        if adversary_given {
-            return Err("--crash and --adversary cannot be combined".to_string());
-        }
-        if crash >= builder.n {
-            return Err(format!(
-                "--crash {crash} is out of range for n = {}",
-                builder.n
-            ));
-        }
-        builder.adversary =
-            AdversarySpec::scripted_at(AdversaryKind::SilentRelay, vec![NodeId(crash as u16)]);
+        builder.adversary = crash_adversary(crash, builder.n, adversary_given)?;
     }
     builder.validate()?;
     Ok(RunInvocation::Flags(Box::new(builder), trace_outs))
@@ -780,37 +781,48 @@ fn dispatch_line(
     service.submit_line(request)
 }
 
+/// Write one response line.
+fn reply(out: &mut impl Write, response: &str) -> std::io::Result<()> {
+    out.write_all(response.as_bytes())?;
+    out.write_all(b"\n")?;
+    out.flush()
+}
+
 /// Serve one accepted connection: newline-delimited requests in, one
 /// response line per request out. The stream carries a read timeout so
-/// an idle connection notices the shutdown flag.
+/// an idle connection notices the shutdown flag. A request line longer
+/// than [`MAX_FRAME`](local_auth_fd::core::deploy::MAX_FRAME) bytes is
+/// answered with a wire error and the connection closed, so one client
+/// cannot grow the line buffer without bound.
 fn handle_connection<S: Read + Write>(
     stream: S,
     service: &FdService,
     stop: &std::sync::atomic::AtomicBool,
 ) {
+    use local_auth_fd::core::deploy::MAX_FRAME;
     use std::sync::atomic::Ordering;
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
-        match reader.read_line(&mut line) {
+        // One byte past the cap tells "at the cap" from "over it".
+        let room = (MAX_FRAME + 1 - line.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut line) {
             Ok(0) => break,
+            Ok(_) if line.len() > MAX_FRAME && !line.ends_with(b"\n") => {
+                let error = format!("request line exceeds the {MAX_FRAME}-byte cap");
+                let _ = reply(reader.get_mut(), &wire::error_to_json(None, &error));
+                break;
+            }
             Ok(_) => {
-                let request = line.trim().to_string();
+                let Ok(request) = std::str::from_utf8(&line).map(|l| l.trim().to_string()) else {
+                    break;
+                };
                 line.clear();
                 if request.is_empty() {
                     continue;
                 }
                 let response = dispatch_line(&request, service, stop);
-                let out = reader.get_mut();
-                if out
-                    .write_all(response.as_bytes())
-                    .and_then(|()| out.write_all(b"\n"))
-                    .and_then(|()| out.flush())
-                    .is_err()
-                {
-                    break;
-                }
-                if stop.load(Ordering::SeqCst) {
+                if reply(reader.get_mut(), &response).is_err() || stop.load(Ordering::SeqCst) {
                     break;
                 }
             }
@@ -1294,7 +1306,7 @@ fn cmd_rotate(builder: &SpecBuilder, extras: &Extras) {
 fn cmd_tcp(builder: &SpecBuilder, extras: &Extras) -> ExitCode {
     use local_auth_fd::core::keys::Keyring;
     use local_auth_fd::core::localauth::{KeyDistNode, KEYDIST_ROUNDS};
-    use local_auth_fd::simnet::transport::TcpCluster;
+    use local_auth_fd::simnet::transport::NbCluster;
     let cluster = builder.build_cluster().expect("validated by main");
     let n = cluster.n;
     let nodes: Vec<Box<dyn Node>> = (0..n)
@@ -1311,7 +1323,7 @@ fn cmd_tcp(builder: &SpecBuilder, extras: &Extras) -> ExitCode {
         })
         .collect();
     let start = std::time::Instant::now();
-    let report = TcpCluster::new(KEYDIST_ROUNDS)
+    let report = NbCluster::new(KEYDIST_ROUNDS)
         .with_io_deadline(std::time::Duration::from_secs(extras.io_deadline_secs))
         .run(nodes);
     if let Err(first) = report.ok() {
@@ -1463,17 +1475,7 @@ fn parse_cluster(args: &[String]) -> Result<(SpecBuilder, ClusterOpts), String> 
         }
     }
     if let Some(crash) = crash {
-        if adversary_given {
-            return Err("--crash and --adversary cannot be combined".to_string());
-        }
-        if crash >= builder.n {
-            return Err(format!(
-                "--crash {crash} is out of range for n = {}",
-                builder.n
-            ));
-        }
-        builder.adversary =
-            AdversarySpec::scripted_at(AdversaryKind::SilentRelay, vec![NodeId(crash as u16)]);
+        builder.adversary = crash_adversary(crash, builder.n, adversary_given)?;
     }
     // A latency model on the cluster is a wall-clock delay shim over the
     // socket mesh. It needs a nonzero round-wall to scale ticks against;

@@ -239,3 +239,72 @@ fn serve_stdin_batch_cli_round_trip() {
     assert!(svc.get("runs_per_sec").unwrap().as_int().unwrap() > 0);
     let _ = std::fs::remove_file(&metrics_path);
 }
+
+/// Kills the server if a check fails before the graceful shutdown.
+struct KillOnDrop(std::process::Child);
+
+impl Drop for KillOnDrop {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// `lafd serve --listen` answers a request line past the registry frame
+/// cap with a wire error and closes that connection; the server itself
+/// keeps serving fresh connections.
+#[test]
+fn serve_rejects_an_over_cap_request_line_and_keeps_serving() {
+    use local_auth_fd::core::deploy::MAX_FRAME;
+    use std::io::{BufRead, BufReader, Read};
+    use std::net::TcpStream;
+
+    let mut server = KillOnDrop(
+        Command::new(env!("CARGO_BIN_EXE_lafd"))
+            .args(["serve", "--listen", "127.0.0.1:0"])
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn lafd serve"),
+    );
+    let mut stderr = BufReader::new(server.0.stderr.take().unwrap());
+    let mut banner = String::new();
+    stderr.read_line(&mut banner).unwrap();
+    let addr = banner
+        .trim()
+        .strip_prefix("serve: listening on ")
+        .unwrap_or_else(|| panic!("unexpected banner {banner:?}"))
+        .to_string();
+
+    // MAX_FRAME + 1 bytes without a newline: one byte over the cap.
+    let mut hog = TcpStream::connect(&addr).unwrap();
+    // A server without the cap would wait for the newline forever.
+    hog.set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    hog.write_all(&vec![b'x'; MAX_FRAME + 1]).unwrap();
+    let mut hog = BufReader::new(hog);
+    let mut answer = String::new();
+    hog.read_line(&mut answer).unwrap();
+    let answer = Value::parse(answer.trim()).unwrap();
+    assert_eq!(answer.get("ok"), Some(&Value::Bool(false)));
+    let error = answer.get("error").and_then(Value::as_str).unwrap();
+    assert!(error.contains("byte cap"), "{error}");
+    let mut rest = Vec::new();
+    assert_eq!(hog.read_to_end(&mut rest).unwrap(), 0, "connection closed");
+
+    let mut fresh = BufReader::new(TcpStream::connect(&addr).unwrap());
+    let request = wire::request_to_json(&builder_for(0, 4, 4), Some("after")).unwrap();
+    writeln!(fresh.get_mut(), "{request}").unwrap();
+    let mut line = String::new();
+    fresh.read_line(&mut line).unwrap();
+    let response = wire::response_from_json(line.trim()).unwrap();
+    assert_eq!(response.id.as_deref(), Some("after"));
+    assert!(response.report.is_ok(), "fresh connection failed: {line}");
+
+    writeln!(fresh.get_mut(), "{{\"op\": \"shutdown\"}}").unwrap();
+    line.clear();
+    fresh.read_line(&mut line).unwrap();
+    assert!(line.contains("draining"), "{line}");
+    drop(fresh);
+    assert!(server.0.wait().unwrap().success());
+}
